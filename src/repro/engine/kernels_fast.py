@@ -57,16 +57,16 @@ __all__ = [
 # Pure-numpy reference implementations (the conformance oracles)
 # ----------------------------------------------------------------------
 def _np_block_histograms(block: np.ndarray, domain_size: int) -> np.ndarray:
-    """Exact per-row histograms: ``(B, n_users)`` values -> ``(B, d)``."""
+    """Exact per-row histograms: ``(B, n_users)`` values -> ``(B, d)``.
+
+    One ``bincount`` per row into the output, with no ``B * n_users``
+    temporary.
+    """
     block = np.asarray(block)
-    rows = block.shape[0]
-    if rows == 0:
-        return np.zeros((0, domain_size), dtype=np.int64)
-    offsets = np.arange(rows, dtype=np.int64) * domain_size
-    flat = block + offsets[:, None]
-    return np.bincount(
-        flat.ravel(), minlength=rows * domain_size
-    ).reshape(rows, domain_size)
+    out = np.empty((block.shape[0], domain_size), dtype=np.int64)
+    for row, values in zip(out, block):
+        row[:] = np.bincount(values, minlength=domain_size)
+    return out
 
 
 def _np_debias_rows(

@@ -48,6 +48,10 @@ PathLike = Union[str, Path]
 #: to the payload layout; :func:`restore_session` refuses other versions.
 CHECKPOINT_VERSION = 1
 
+#: Rows per block when :func:`position_dataset` regenerates a
+#: sequential stream, so repositioning holds O(chunk * n_users) values.
+_POSITION_CHUNK = 256
+
 _SESSION_FORMAT = "repro-checkpoint"
 _GROUP_FORMAT = "repro-group-checkpoint"
 
@@ -250,9 +254,9 @@ def position_dataset(dataset: StreamDataset, t: int) -> None:
 
     Random-access datasets need nothing.  Online streams fast-forward
     their push cursor.  Generative simulators replay timestamps
-    ``0..t-1`` to regenerate their sequential state — bit-identical to
-    the original pass, since generation is a pure function of the
-    dataset seed and the cursor.
+    ``0..t-1`` in bounded ``values_range`` blocks to regenerate their
+    sequential state — bit-identical to the original pass, since
+    generation is a pure function of the dataset seed and the cursor.
     """
     if t == 0 or getattr(dataset, "random_access", False):
         return
@@ -261,8 +265,8 @@ def position_dataset(dataset: StreamDataset, t: int) -> None:
         return
     if isinstance(dataset, GenerativeStream):
         dataset.reset()
-        for step in range(t):
-            dataset.values(step)
+        for b0 in range(0, t, _POSITION_CHUNK):
+            dataset.values_range(b0, min(b0 + _POSITION_CHUNK, t))
         return
     raise CheckpointError(
         f"cannot reposition a {type(dataset).__name__} to timestamp {t}; "

@@ -11,11 +11,12 @@ Two concrete families exist:
 
 * :class:`MaterializedStream` — values stored as an ``(T, n)`` matrix;
   random access; used for small/medium workloads and tests.
-* :class:`GenerativeStream` — values produced lazily per timestamp from a
-  seeded generator with an evolving internal state (e.g. per-user Markov
-  chains).  Supports unbounded horizons (the "infinite" in LDP-IDS);
-  enforces in-order access and caches the current snapshot so a mechanism
-  may read it several times within a timestamp (M1 and M2 rounds).
+* :class:`GenerativeStream` — values produced lazily, in blocks of
+  consecutive timestamps, from a seeded generator with an evolving
+  internal state (e.g. per-user Markov chains).  Supports unbounded
+  horizons (the "infinite" in LDP-IDS); enforces in-order access and
+  caches the current snapshot so a mechanism may read it several times
+  within a timestamp (M1 and M2 rounds).
 """
 
 from __future__ import annotations
@@ -90,10 +91,11 @@ class StreamDataset(abc.ABC):
         Row ``i`` equals ``values(t0 + i)``.  This is the bulk-ingestion
         feed: :meth:`repro.engine.session.StreamSession.observe_many`
         pulls one block per chunk and drives the whole span off it.  The
-        base implementation walks timestamps in order — note that on
-        sequential generative streams this *consumes* them (the cursor
-        ends at ``t1 - 1``), so a caller must either use only the block
-        or only per-timestamp ``values`` for a given span, never both.
+        base implementation stacks per-timestamp ``values`` (what online
+        streams use).  Generative streams override it with one block
+        fill, which *consumes* the span (the cursor ends at ``t1 - 1``),
+        so a caller must either use only the block or only
+        per-timestamp ``values`` for a given span, never both.
         Materialized streams override it with an O(1) view.  Callers
         must not mutate the result.
         """
@@ -205,11 +207,15 @@ class MaterializedStream(StreamDataset):
 class GenerativeStream(StreamDataset):
     """A lazily generated stream with sequential state.
 
-    Subclasses implement :meth:`_advance`, which produces the snapshot for
-    the *next* timestamp given internal state.  Access must be in order
-    (t = 0, 1, 2, ...); the current snapshot is cached so repeated reads of
-    the same ``t`` are cheap and consistent, which the two-round adaptive
-    mechanisms rely on.
+    Subclasses produce snapshots in order (t = 0, 1, 2, ...) by
+    overriding either :meth:`_fill`, which writes a block of consecutive
+    snapshots into a preallocated ``(B, n_users)`` int64 array, or the
+    one-row :meth:`_advance`, which the default :meth:`_fill` calls per
+    row.  :meth:`values` is the one-row case of :meth:`values_range`'s
+    block fill.  The current snapshot is cached so repeated reads of the
+    same ``t`` are cheap and consistent, which the two-round adaptive
+    mechanisms rely on.  After a block, the cache is a *copy* of its last
+    row: a view would keep the whole block alive as long as the stream.
     """
 
     def __init__(self, n_users: int, domain_size: int, horizon: Optional[int]):
@@ -217,23 +223,64 @@ class GenerativeStream(StreamDataset):
         self._cursor = -1
         self._current: Optional[np.ndarray] = None
 
-    @abc.abstractmethod
     def _advance(self, t: int) -> np.ndarray:
         """Produce the value snapshot for timestamp ``t`` (called once per t)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must override _fill or _advance"
+        )
+
+    def _fill(self, t0: int, out: np.ndarray) -> None:
+        """Write the snapshots of ``t0, t0 + 1, ...`` into the rows of ``out``.
+
+        Called once per timestamp, in order.  The generator must not keep
+        a view of ``out``.
+        """
+        for i, row in enumerate(out):
+            row[:] = self._advance(t0 + i)
+
+    def _generate(self, t0: int, out: np.ndarray) -> None:
+        """Fill ``out`` from the next timestamp ``t0`` and move the cursor."""
+        if t0 != self._cursor + 1:
+            raise StreamAccessError(
+                f"generative streams must be read in order: asked for t={t0} "
+                f"while cursor is at {self._cursor}"
+            )
+        self._fill(t0, out)
+        self._cursor = t0 + len(out) - 1
 
     def values(self, t: int) -> np.ndarray:
         t = self._check_t(t)
-        if t == self._cursor:
-            assert self._current is not None
-            return self._current
-        if t != self._cursor + 1:
-            raise StreamAccessError(
-                f"generative streams must be read in order: asked for t={t} "
-                f"while cursor is at {self._cursor}"
-            )
-        self._current = self._advance(t)
-        self._cursor = t
+        if t != self._cursor:
+            row = np.empty((1, self.n_users), dtype=np.int64)
+            self._generate(t, row)
+            self._current = row[0]
         return self._current
+
+    def values_range(self, t0: int, t1: int) -> np.ndarray:
+        """Fill one ``(t1-t0, n_users)`` block in a single generator pass.
+
+        The span may start at the cursor (row 0 is then the cached
+        snapshot) or just after it; it consumes the stream up to
+        ``t1 - 1``.  Rows equal the per-timestamp :meth:`values` bit for
+        bit, at any split of a span into blocks.
+        """
+        if t1 < t0:
+            raise StreamAccessError(
+                f"invalid range [{t0}, {t1}): end before start"
+            )
+        if t1 == t0:
+            return np.empty((0, self.n_users), dtype=np.int64)
+        self._check_t(t0)
+        self._check_t(t1 - 1)
+        block = np.empty((t1 - t0, self.n_users), dtype=np.int64)
+        head = 0
+        if t0 == self._cursor:
+            block[0] = self._current
+            head = 1
+        if head < len(block):
+            self._generate(t0 + head, block[head:])
+            self._current = block[-1].copy()
+        return block
 
     def reset(self) -> None:
         """Rewind the stream so it can be replayed from t = 0."""

@@ -23,13 +23,15 @@ from ..exceptions import InvalidParameterError
 from ..rng import SeedLike, ensure_rng
 
 
-def sample_categorical(
-    probabilities: np.ndarray, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``size`` iid values from a categorical distribution.
+def _categorical_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """Validated inverse-CDF table of a categorical distribution.
 
-    Uses inverse-CDF sampling on a shared uniform array, which is much
-    faster than ``rng.choice`` for large ``size``.
+    The trailing run of entries equal to the last one is pinned to
+    exactly ``1.0``.  ``cumsum(probs / total)`` can round its last entry
+    below 1 (or above it), and a uniform ``u`` in ``[cdf[-1], 1)`` would
+    then map to ``d``, outside the domain.  After pinning every ``u`` in
+    ``[0, 1)`` lands in ``[0, d)`` on a category of positive mass, and
+    every ``u < cdf[-1]`` keeps the index it had before.
     """
     probs = np.asarray(probabilities, dtype=np.float64)
     if probs.ndim != 1 or probs.size == 0:
@@ -38,8 +40,45 @@ def sample_categorical(
     if total <= 0 or (probs < 0).any():
         raise InvalidParameterError("probabilities must be non-negative, sum > 0")
     cdf = np.cumsum(probs / total)
-    u = rng.random(size)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    cdf[cdf >= cdf[-1]] = 1.0
+    return cdf
+
+
+def _inverse_cdf(
+    cdf: np.ndarray, u: np.ndarray, table_size: Optional[int] = None
+) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` by indexed search.
+
+    Chen and Asau's guide table: ``guide[j]`` is the answer for
+    ``u = j / M``.  ``M`` is a power of two (by default the smallest at
+    least ``4d``), so ``u * M`` and ``j / M`` are exact and
+    ``j = floor(u * M)`` satisfies ``j / M <= u``; the answer for ``u``
+    is therefore at least ``guide[j]``, and stepping forward while
+    ``cdf[idx] <= u`` reaches it exactly, ties included.
+    ``cdf`` must come from :func:`_categorical_cdf` (last entry ``1.0``)
+    and ``u`` must lie in ``[0, 1)``, so no index runs past ``d - 1``.
+    """
+    size = table_size or 1 << (4 * cdf.size - 1).bit_length()
+    guide = cdf.searchsorted(np.arange(size) / size, side="right")
+    idx = guide[(u * size).astype(np.intp)]
+    ahead = (cdf[idx] <= u).nonzero()[0]
+    while ahead.size:
+        idx[ahead] += 1
+        ahead = ahead[cdf[idx[ahead]] <= u[ahead]]
+    return idx
+
+
+def sample_categorical(
+    probabilities: np.ndarray, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``size`` iid values from a categorical distribution.
+
+    Inverse-CDF sampling of one ``rng.random(size)`` array through a
+    guide table, which is much faster than ``rng.choice`` for large
+    ``size`` and returns exactly what ``np.searchsorted`` would.
+    """
+    cdf = _categorical_cdf(probabilities)
+    return _inverse_cdf(cdf, rng.random(size)).astype(np.int64, copy=False)
 
 
 class MarkovValueProcess:
@@ -75,21 +114,49 @@ class MarkovValueProcess:
         self.target_distribution = target_distribution
         self.churn_rate = float(churn_rate)
         self._seed = seed
-        self._rng = ensure_rng(seed if isinstance(seed, int) or seed is None else seed)
+        self._rng = ensure_rng(seed)
         self._values: Optional[np.ndarray] = None
+        # The movers' uniforms and the state are rewritten in place: a
+        # fresh n_users-sized temporary per timestamp makes the allocator
+        # hand memory back and page it in again on every step.
+        self._uniforms = np.empty(self.n_users)
 
     def step(self, t: int) -> np.ndarray:
         """Advance to timestamp ``t`` and return the value snapshot."""
-        target = np.asarray(self.target_distribution(t), dtype=np.float64)
+        out = np.empty((1, self.n_users), dtype=np.int64)
+        self.fill(t, out)
+        return out[0]
+
+    def fill(self, t0: int, out: np.ndarray) -> None:
+        """Advance through ``t0, t0 + 1, ...`` writing one row of ``out``
+        (a ``(B, n_users)`` int64 block) per timestamp.
+
+        Row ``i`` is the snapshot of timestamp ``t0 + i``, and the draws
+        per timestamp are those of :meth:`step`: ``random(n_users)``
+        picks the movers, then one ``random(n_movers)`` resamples them.
+        So any split of a span into blocks gives the same rows.  The
+        process keeps a copy of the last row as its state, never a view
+        that would pin ``out``.
+        """
+        rng, n, churn = self._rng, self.n_users, self.churn_rate
+        prev = self._values
+        for i, row in enumerate(out):
+            target = self.target_distribution(t0 + i)
+            if prev is None:
+                row[:] = sample_categorical(target, n, rng)
+            else:
+                row[:] = prev
+                uniforms = rng.random(out=self._uniforms)
+                movers = (uniforms < churn).nonzero()[0]
+                if movers.size:
+                    row[movers] = sample_categorical(target, movers.size, rng)
+            prev = row
+        if not len(out):
+            return
         if self._values is None:
-            self._values = sample_categorical(target, self.n_users, self._rng)
-            return self._values
-        movers = self._rng.random(self.n_users) < self.churn_rate
-        n_movers = int(np.count_nonzero(movers))
-        if n_movers:
-            self._values = self._values.copy()
-            self._values[movers] = sample_categorical(target, n_movers, self._rng)
-        return self._values
+            self._values = prev.copy()
+        else:
+            self._values[:] = prev
 
     def rng_state(self) -> dict:
         """Snapshot of the process generator's current bit-level state."""

@@ -83,8 +83,8 @@ class _MarkovSimulator(GenerativeStream):
         """Population-level value distribution at timestamp ``t``."""
         raise NotImplementedError
 
-    def _advance(self, t: int) -> np.ndarray:
-        return self._process.step(t)
+    def _fill(self, t0: int, out: np.ndarray) -> None:
+        self._process.fill(t0, out)
 
     def _reset_state(self) -> None:
         self._process.reset(_rng_from_state(self._initial_process_state))

@@ -15,8 +15,17 @@ import pytest
 from repro.engine import kernels_fast as kf
 
 # (rows, n_users/d) shapes the SoA scheduler actually emits: singleton
-# chunks, ragged tails, full truth chunks.
-BLOCK_SHAPES = [(0, 7), (1, 1), (1, 50), (5, 33), (64, 20), (128, 300)]
+# chunks, ragged tails, full truth chunks, a wide single row.
+BLOCK_SHAPES = [
+    (0, 7),
+    (1, 1),
+    (1, 50),
+    (5, 33),
+    (64, 20),
+    (128, 300),
+    (1, 2000),
+    (256, 64),
+]
 DEBIAS_SHAPES = [(0, 4), (1, 2), (7, 16), (64, 128)]
 
 

@@ -5,6 +5,17 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.streams import MarkovValueProcess, sample_categorical
+from repro.streams.markov import _categorical_cdf, _inverse_cdf
+
+
+class _StubRng:
+    """Generator stand-in whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
 
 
 class TestSampleCategorical:
@@ -26,6 +37,65 @@ class TestSampleCategorical:
             sample_categorical(np.array([0.0, 0.0]), 10, rng)
         with pytest.raises(InvalidParameterError):
             sample_categorical(np.empty(0), 10, rng)
+
+    @pytest.mark.parametrize(
+        "probs,expect",
+        [
+            # cumsum of ten 0.1s ends at 0.9999999999999999, below 1.
+            (np.full(10, 0.1), 9),
+            # A trailing zero-mass category must never be drawn.
+            (np.append(np.full(10, 0.1), 0.0), 9),
+        ],
+    )
+    def test_top_uniform_stays_in_domain(self, probs, expect):
+        u = np.nextafter(1.0, 0.0)
+        draws = sample_categorical(probs, 3, _StubRng(u))
+        assert draws.tolist() == [expect] * 3
+
+
+def _guide_cases():
+    rng = np.random.default_rng(21)
+    return [
+        # zero-probability ties, inside one bucket and across buckets
+        ("ties", np.array([0.25, 0.0, 0.0, 0.25, 0.0, 0.5, 0.0]), None),
+        # cdf entries exactly on the bucket edges k/M
+        ("on-edges", np.array([0.25, 0.25, 0.125, 0.375]), 8),
+        ("d=2", np.array([0.3, 0.7]), None),
+        ("d=2-skew", np.array([1e-12, 1.0]), None),
+        # more categories than table entries: many per bucket
+        ("d>table", rng.dirichlet(np.full(300, 0.3)), 16),
+        ("zipf", 1.0 / np.arange(1, 118) ** 1.2, None),
+    ]
+
+
+class TestGuideTable:
+    """The indexed search returns exactly ``searchsorted(side="right")``."""
+
+    @pytest.mark.parametrize(
+        "probs,table_size",
+        [case[1:] for case in _guide_cases()],
+        ids=[case[0] for case in _guide_cases()],
+    )
+    def test_matches_searchsorted(self, probs, table_size):
+        cdf = _categorical_cdf(probs)
+        size = table_size or 1 << (4 * cdf.size - 1).bit_length()
+        edges = np.arange(size) / size
+        u = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges, 1.0),
+                np.nextafter(edges[1:], 0.0),
+                cdf,
+                np.nextafter(cdf, 0.0),
+                np.nextafter(cdf, 2.0),
+                [0.0, np.nextafter(1.0, 0.0)],
+                np.random.default_rng(5).random(5_000),
+            ]
+        )
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = _inverse_cdf(cdf, u, table_size)
+        assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+        assert got.max() < cdf.size
 
 
 class TestMarkovValueProcess:

@@ -1,10 +1,19 @@
 """Unit tests for stream dataset base classes."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError, StreamAccessError
-from repro.streams import GenerativeStream, MaterializedStream
+from repro.streams import (
+    FoursquareSimulator,
+    GenerativeStream,
+    MaterializedStream,
+    TaobaoSimulator,
+    TaxiSimulator,
+)
 
 
 class TestMaterializedStream:
@@ -132,14 +141,74 @@ class TestTrueFrequenciesRange:
         for i, t in enumerate(range(3, 11)):
             assert np.array_equal(block[i], stream.true_frequencies(t))
 
-    def test_generative_fallback_matches_per_timestamp(self):
-        from repro.streams import TaxiSimulator
+    @pytest.mark.parametrize("churn", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize(
+        "simulator", [TaxiSimulator, FoursquareSimulator, TaobaoSimulator]
+    )
+    def test_generative_fallback_matches_per_timestamp(self, simulator, churn):
+        def build():
+            return simulator(
+                n_users=120, horizon=300, churn_rate=churn, scale=1, seed=3
+            )
 
-        a = TaxiSimulator(n_users=100, horizon=10, seed=3)
-        block = a.true_frequencies_range(0, 10)
-        b = TaxiSimulator(n_users=100, horizon=10, seed=3)
-        for t in range(10):
-            assert np.array_equal(block[t], b.true_frequencies(t))
+        reference = build()
+        per_step = np.stack([reference.values(t) for t in range(300)])
+        reference.reset()
+        per_step_freqs = np.stack(
+            [reference.true_frequencies(t) for t in range(300)]
+        )
+        stream = build()
+        # Uneven splits, the last chunk ending at the horizon; replayed
+        # after reset() with a different split.
+        for splits in ([1, 7, 256, 36], [256, 1, 7, 36]):
+            stream.reset()
+            t0 = 0
+            for length in splits:
+                block = stream.values_range(t0, t0 + length)
+                assert np.array_equal(block, per_step[t0 : t0 + length])
+                # Re-read at the cursor after a block.
+                last = t0 + length - 1
+                assert np.array_equal(stream.values(last), per_step[last])
+                t0 += length
+            assert t0 == stream.horizon
+        stream.reset()
+        freqs = stream.true_frequencies_range(0, 300)
+        assert np.array_equal(freqs, per_step_freqs)
+
+    def test_range_may_start_at_cursor(self):
+        stream = TaxiSimulator(n_users=50, horizon=20, seed=4)
+        per_step = np.stack([stream.values(t) for t in range(20)])
+        stream.reset()
+        stream.values_range(0, 5)
+        assert np.array_equal(stream.values_range(4, 9), per_step[4:9])
+        assert np.array_equal(stream.values_range(8, 9), per_step[8:9])
+        with pytest.raises(StreamAccessError):
+            stream.values_range(7, 12)
+        with pytest.raises(StreamAccessError):
+            stream.values_range(10, 12)
+
+    def test_advance_subclass_fills_blocks(self):
+        stream = _CountingStream()
+        block = stream.values_range(0, 6)
+        assert np.array_equal(block, [np.full(10, t % 2) for t in range(6)])
+        assert stream.advances == 6
+        assert np.array_equal(stream.values(6), np.full(10, 0))
+        assert stream.advances == 7
+
+    @pytest.mark.parametrize("t0,t1", [(0, 40), (0, 1), (39, 40), (39, 41)])
+    def test_block_is_not_pinned_by_the_stream(self, t0, t1):
+        stream = TaxiSimulator(n_users=500, horizon=50, seed=2)
+        if t0:
+            stream.values_range(0, t0 + 1)
+        block = stream.values_range(t0, t1)
+        cached = stream.values(t1 - 1)
+        assert np.array_equal(cached, block[-1])
+        assert not np.shares_memory(cached, block)
+        assert not np.shares_memory(stream._process._values, block)
+        ref = weakref.ref(block)
+        del block
+        gc.collect()
+        assert ref() is None
 
     def test_empty_range(self, rng):
         stream = MaterializedStream(rng.integers(0, 3, size=(5, 10)), 3)
