@@ -48,8 +48,8 @@ kernel-vs-fallback ratios per regime and carry their own CI floors;
 ``adaptive_gap_ratio`` publishes each drift row's throughput as a
 fraction of its uniform peer's (LBD/LBA vs LBU, LPD/LPA vs LPU) so the
 cost of adaptivity is tracked per PR.  The record also carries
-``kernels_backend`` (:func:`repro.engine.kernels_fast.backend`) so the
-perf trajectory distinguishes numpy-fallback runs from compiled ones.
+``kernels_backend`` (:func:`repro.engine.kernels_fast.backend`, always
+``"numpy"``) so its layout matches the older records.
 
 Run as a script::
 

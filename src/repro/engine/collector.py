@@ -395,9 +395,7 @@ class ChunkContext:
         Row ``i`` holds the same integers as
         ``np.bincount(values(t0 + i), minlength=d)``.  Computed by
         :func:`~repro.engine.kernels_fast.block_histograms` — one
-        C-level counting pass per row (a row-wise bincount in the numpy
-        reference, a two-loop count under the compiled backend; exact
-        integers either way).
+        row-wise ``bincount`` per row, exact integers.
         """
         if self._counts is None:
             self._counts = block_histograms(

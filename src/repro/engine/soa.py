@@ -17,9 +17,8 @@ axis instead:
   uniform_run_epsilon`) are **bucketed** by (mechanism family, oracle,
   postprocess) and driven through a single stacked oracle call
   (:meth:`~repro.freq_oracles.base.FrequencyOracle.
-  sample_aggregate_run_stacked`) that hoists the epsilon-independent
-  setup — e.g. OUE/SUE's ``(B, 2, d)`` trial tensor — once per bucket
-  instead of once per session;
+  sample_aggregate_run_stacked`) that prepares one run sampler per
+  distinct budget in the bucket instead of one per session;
 * everything else ingests through
   :meth:`~repro.engine.session.StreamSession.ingest_prepared` with the
   shared block/histograms injected.
@@ -29,12 +28,12 @@ Bit-identity argument
 Every session's output is bit-identical to its solo ``run_stream``:
 
 * **RNG privacy.** Each session's draws come exclusively from its own
-  generator.  The stacked samplers take one generator *per layer* and
-  replay, for layer ``s``, exactly the generator-call sequence of that
-  session's solo run sampler (the stacked trial/probability tensors are
-  shared only where they are epsilon-independent *inputs*, never where
-  randomness is drawn).  Stacking therefore changes which Python frame
-  issues the calls, not the calls themselves.
+  generator.  The stacked sampler takes one generator *per layer* and
+  calls, for layer ``s``, the same prepared run sampler on the same
+  count block as that session's solo run (only the read-only count
+  block and the per-budget sampler are shared, never randomness).
+  Stacking therefore changes which Python frame issues the calls, not
+  the calls themselves.
 * **Shared inputs are exact.** The value block is the same array a solo
   pass would read; histograms are exact integer counts; the shared truth
   block performs the same ``counts / n_users`` division.
@@ -51,7 +50,7 @@ Every session's output is bit-identical to its solo ``run_stream``:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

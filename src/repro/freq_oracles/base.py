@@ -5,23 +5,31 @@ A frequency oracle is the LDP building block used throughout the paper
 of size ``d`` and sends a randomized report; the aggregator turns the set of
 reports into an unbiased estimate of the value-frequency histogram.
 
-Two execution paths are provided by every oracle:
+Every oracle is characterised by a pair ``(p, q)``: a report supports its
+owner's value with probability ``p`` and any other fixed value with
+probability ``q``.  Two execution paths share that pair:
 
-``perturb``
+``perturb`` + ``aggregate``
     Per-user simulation: maps an array of true values to an array of
-    reports.  This is the literal protocol and is used in unit and property
-    tests, and anywhere per-user artefacts matter.
+    reports, then counts each value's supports.  This is the literal
+    protocol and is used in unit and property tests, and anywhere
+    per-user artefacts matter.
 
-``sample_aggregate``
-    Count-level simulation: directly samples the aggregator's *perturbed
-    count vector* from its exact sampling distribution (sums of independent
-    Bernoullis become binomials/multinomials).  Statistically identical to
-    running ``perturb`` + counting, but orders of magnitude faster for the
-    large populations in the paper's experiments.  Property tests in
-    ``tests/property/test_fo_equivalence.py`` check the two paths agree.
+``sample_aggregate`` and its batched forms
+    Count-level simulation: each oracle's one sampling primitive,
+    :meth:`FrequencyOracle.support_draw`, samples the perturbed
+    support-count vectors directly from their exact distribution (sums
+    of independent Bernoullis become binomials/multinomials).
+    Statistically identical to running ``perturb`` + counting, but
+    orders of magnitude faster for the large populations in the paper's
+    experiments.  The moment comparisons in
+    ``tests/freq_oracles/test_grr.py`` and ``test_unary.py`` check the
+    two paths agree.  The single-round, run, prepared and stacked
+    samplers are all derived from ``support_draw`` here, so they replay
+    the same draws bit for bit.
 
-Both paths end in :meth:`FrequencyOracle.estimate`, the standard unbiased
-debiasing ``(c'/n - q) / (p - q)`` (Section 3.4).
+Both paths end in the standard unbiased debiasing ``(c'/n - q) / (p - q)``
+(:meth:`FrequencyOracle.estimate_from_supports`).
 """
 
 from __future__ import annotations
@@ -78,10 +86,15 @@ class FOEstimate:
 class FrequencyOracle(abc.ABC):
     """Abstract base class for LDP frequency oracles over ``{0, ..., d-1}``.
 
-    Subclasses implement a specific randomized-response encoding.  Oracles
-    are stateless with respect to data: domain size and budget are passed per
-    call, so a single oracle instance can serve every round of a streaming
-    session (where the budget varies between rounds under budget division).
+    Subclasses implement a specific randomized-response encoding:
+    :meth:`perturb`, :meth:`support_probabilities`,
+    :meth:`aggregate_supports` and :meth:`variance`, plus
+    :meth:`support_draw` when the default two-binomial draw does not fit
+    (GRR).  Every other aggregation and sampling entry point is derived
+    here.  Oracles are stateless with respect to data: domain size and
+    budget are passed per call, so a single oracle instance can serve
+    every round of a streaming session (where the budget varies between
+    rounds under budget division).
     """
 
     #: Registry name, e.g. ``"grr"``; set by subclasses.
@@ -106,26 +119,6 @@ class FrequencyOracle(abc.ABC):
         """
 
     @abc.abstractmethod
-    def aggregate(
-        self,
-        reports: np.ndarray,
-        domain_size: int,
-        epsilon: float,
-    ) -> FOEstimate:
-        """Debias per-user reports into an unbiased frequency estimate."""
-
-    # ------------------------------------------------------------------
-    # Sufficient statistics (shard mergeability)
-    # ------------------------------------------------------------------
-    # Every oracle in this library estimates frequencies as an affine map
-    # of an integer *support-count* vector: ``f = (c/n - q) / (p - q)``
-    # with oracle-specific constants ``(p, q)``.  The support counts of a
-    # union of report sets are the integer sums of the per-set counts, so
-    # exposing the two halves of ``aggregate`` separately makes collection
-    # rounds mergeable across population shards with *no* loss:
-    # ``estimate_from_supports(sum of shard supports)`` is bit-identical
-    # to aggregating the whole population's reports in one process.
-
     def support_probabilities(
         self, epsilon: float, domain_size: int
     ) -> tuple[float, float]:
@@ -134,14 +127,9 @@ class FrequencyOracle(abc.ABC):
         ``p`` is the probability a report supports its owner's value,
         ``q`` the probability it supports any other fixed value (for HR
         the baseline is exactly 1/2 by Hadamard orthogonality).
-
-        Not abstract so minimal third-party subclasses keep working; all
-        five built-in oracles implement it.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose support probabilities"
-        )
 
+    @abc.abstractmethod
     def aggregate_supports(
         self,
         reports: np.ndarray,
@@ -155,10 +143,30 @@ class FrequencyOracle(abc.ABC):
         :meth:`estimate_from_supports` turns a (summed) vector back into
         the estimate :meth:`aggregate` would have produced for the union.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not decompose aggregation into "
-            f"support counts"
+
+    def aggregate(
+        self,
+        reports: np.ndarray,
+        domain_size: int,
+        epsilon: float,
+    ) -> FOEstimate:
+        """Debias per-user reports into an unbiased frequency estimate."""
+        supports = self.aggregate_supports(reports, domain_size, epsilon)
+        return self.estimate_from_supports(
+            supports, np.asarray(reports).shape[0], domain_size, epsilon
         )
+
+    # ------------------------------------------------------------------
+    # Sufficient statistics (shard mergeability)
+    # ------------------------------------------------------------------
+    # Every oracle in this library estimates frequencies as an affine map
+    # of an integer *support-count* vector: ``f = (c/n - q) / (p - q)``
+    # with oracle-specific constants ``(p, q)``.  The support counts of a
+    # union of report sets are the integer sums of the per-set counts, so
+    # exposing the two halves of ``aggregate`` separately makes collection
+    # rounds mergeable across population shards with *no* loss:
+    # ``estimate_from_supports(sum of shard supports)`` is bit-identical
+    # to aggregating the whole population's reports in one process.
 
     def estimate_from_supports(
         self,
@@ -184,17 +192,121 @@ class FrequencyOracle(abc.ABC):
                 f"{supports.shape}"
             )
         n = int(n_reports)
+        if n <= 0:
+            raise InvalidParameterError("cannot aggregate zero reports")
         p, q = self.support_probabilities(epsilon, domain_size)
-        freqs = self._debias(supports, n, p, q)
         return FOEstimate(
-            frequencies=freqs,
+            frequencies=self._debias(supports, n, p, q),
             n_reports=n,
             epsilon=epsilon,
             variance=self.variance(epsilon, n, domain_size),
             supports=supports,
         )
 
-    @abc.abstractmethod
+    # ------------------------------------------------------------------
+    # Count-level sampling: one primitive, every entry point derived
+    # ------------------------------------------------------------------
+    def support_draw(self, epsilon: float, domain_size: int):
+        """Build this oracle's count-level sampling primitive.
+
+        Returns ``draw(counts, n, rng) -> supports``: ``counts`` is a
+        ``(B, d)`` int64 matrix of exact per-round value histograms, ``n``
+        its ``(B, 1)`` row totals, and ``supports`` the ``(B, d)`` float64
+        perturbed support counts, each row distributed exactly as
+        ``aggregate_supports(perturb(...))``.  Round ``b`` is drawn
+        entirely before round ``b + 1``, so a ``B``-row draw consumes the
+        generator exactly as ``B`` one-row draws do — the property every
+        derived sampler's bit-identity rests on.
+
+        The default fits every oracle whose report supports each value
+        independently: per cell ``k``, ``Binomial(n_k, p)`` supports from
+        its owners plus ``Binomial(n - n_k, q)`` from everyone else.  One
+        element-wise binomial over the interleaved ``(B, 2, d)`` stack
+        fills, in C order, row ``b``'s owner draws right before its
+        background draws.
+        """
+        p, q = self.support_probabilities(epsilon, domain_size)
+        probs = np.array([p, q]).reshape(1, 2, 1)
+
+        def draw(counts, n, rng):
+            trials = np.empty((counts.shape[0], 2, counts.shape[1]), np.int64)
+            trials[:, 0] = counts
+            np.subtract(n, counts, out=trials[:, 1])
+            draws = rng.binomial(trials, probs)
+            return (draws[:, 0] + draws[:, 1]).astype(np.float64)
+
+        return draw
+
+    def run_sampler(self, epsilon: float, domain_size: int):
+        """Build a prepared *run* sampler for a fixed budget.
+
+        Returns ``sample(true_counts, rng) -> (B, d)``: the unbiased
+        frequency estimates of ``B`` consecutive rounds, **bit-identical**
+        to calling :meth:`sample_aggregate` row by row on the same
+        generator.  The budget and domain checks, the ``(p, q)`` debias
+        constants and the draw's setup run once here, leaving the count
+        checks, the draw and the debias per call; the collector memoizes
+        one prepared sampler per budget
+        (:meth:`repro.engine.collector.Collector.run_sampler`).
+        """
+        epsilon = self._check_epsilon(epsilon)
+        domain_size = self._check_domain(domain_size)
+        p, q = self.support_probabilities(epsilon, domain_size)
+        draw = self.support_draw(epsilon, domain_size)
+
+        def sample(true_counts: np.ndarray, rng) -> np.ndarray:
+            counts = self._check_batch_counts(true_counts)
+            if counts.shape[1] != domain_size:
+                raise InvalidParameterError(
+                    f"true_counts must have {domain_size} columns, got "
+                    f"{counts.shape[1]}"
+                )
+            n = counts.sum(axis=1, keepdims=True)
+            if np.count_nonzero(n) < n.shape[0]:
+                raise InvalidParameterError("cannot aggregate zero reports")
+            return self._debias(draw(counts, n, rng), n, p, q)
+
+        return sample
+
+    def sample_aggregate_run(
+        self,
+        true_counts: np.ndarray,
+        epsilon: float,
+        rng: SeedLike = None,
+    ) -> np.ndarray:
+        """Sample a *run* of consecutive rounds from a ``(B, d)`` count
+        matrix; the one-shot form of :meth:`run_sampler`.
+
+        The output is **bit-identical** to calling
+        :meth:`sample_aggregate` row by row on the same generator, which
+        is what lets the chunked ingestion path
+        (:meth:`repro.engine.session.StreamSession.observe_many`) batch
+        whole spans of collection rounds without changing a single
+        released float.
+        """
+        counts = self._check_batch_counts(true_counts)
+        return self.run_sampler(epsilon, counts.shape[1])(
+            counts, ensure_rng(rng)
+        )
+
+    def round_sampler(self, epsilon: float, domain_size: int):
+        """Build a prepared single-round sampler for a fixed budget.
+
+        Returns ``sample(true_counts, rng) -> frequencies``, one row of
+        :meth:`run_sampler`, so **bit-identical** to
+        ``sample_aggregate(true_counts, epsilon, rng=rng).frequencies``.
+        The adaptive population kernels (LPD/LPA) lean on this: their
+        pool draws interleave with the oracle draws on the shared
+        generator, so their rounds cannot batch.
+        """
+        run = self.run_sampler(epsilon, domain_size)
+
+        def sample(true_counts: np.ndarray, rng) -> np.ndarray:
+            # The run's (B, d) check rejects anything but one 1-D round.
+            return run(np.asarray(true_counts)[None], rng)[0]
+
+        return sample
+
     def sample_aggregate(
         self,
         true_counts: np.ndarray,
@@ -207,98 +319,17 @@ class FrequencyOracle(abc.ABC):
         values (length ``d``, sums to the group size).  The returned
         estimate is distributed exactly as ``aggregate(perturb(...))``.
         """
-
-    def sample_aggregate_batch(
-        self,
-        true_counts: np.ndarray,
-        epsilon: float,
-        rng: SeedLike = None,
-    ) -> np.ndarray:
-        """Sample many aggregation outcomes at once from a count matrix.
-
-        ``true_counts`` is a ``(B, d)`` matrix — one exact value
-        histogram per round (rows may have different totals).  Returns
-        the ``(B, d)`` matrix of unbiased frequency estimates, row ``b``
-        distributed exactly as ``sample_aggregate(true_counts[b], ...)``.
-
-        The base implementation loops row by row; OUE/SUE/GRR override
-        it with single batched binomial/multinomial draws.  This is a
-        standalone offline/replay API — e.g. for sampling estimates over
-        whole count blocks in analysis or benchmarking code — the
-        streaming engine itself still samples one collection round at a
-        time, because mechanisms decide each round adaptively.
-        """
-        counts = self._check_batch_counts(true_counts)
-        rng = ensure_rng(rng)
-        return np.stack(
-            [
-                self.sample_aggregate(row, epsilon, rng=rng).frequencies
-                for row in counts
-            ]
-        )
-
-    def sample_aggregate_run(
-        self,
-        true_counts: np.ndarray,
-        epsilon: float,
-        rng: SeedLike = None,
-    ) -> np.ndarray:
-        """Sample a *run* of consecutive rounds, replaying the per-round
-        draw order exactly.
-
-        Like :meth:`sample_aggregate_batch`, ``true_counts`` is a
-        ``(B, d)`` matrix of exact per-round value histograms and the
-        result is the ``(B, d)`` matrix of unbiased frequency estimates.
-        The contract is stronger, though: the output is **bit-identical**
-        to calling :meth:`sample_aggregate` row by row on the same
-        generator — the run consumes the generator's bitstream in the
-        same element order the streaming engine's per-round loop would.
-        This is what lets the chunked ingestion path
-        (:meth:`repro.engine.session.StreamSession.observe_many`) batch
-        whole spans of collection rounds without changing a single
-        released float.
-
-        The base implementation is literally the sequential loop.
-        Subclasses whose per-round sampler has a fixed draw structure
-        override it: OLH/HR delegate to their (already order-preserving)
-        batch samplers, OUE/SUE interleave their two binomials into one
-        ``(B, 2, d)`` element-ordered draw, and GRR hoists the per-round
-        setup out of a tight loop (its binomial/multinomial interleaving
-        cannot be merged across rounds).
-        """
-        counts = self._check_batch_counts(true_counts)
-        rng = ensure_rng(rng)
-        if counts.shape[0] == 0:
-            return np.empty((0, counts.shape[1]), dtype=np.float64)
-        return np.stack(
-            [
-                self.sample_aggregate(row, epsilon, rng=rng).frequencies
-                for row in counts
-            ]
-        )
-
-    def run_sampler(self, epsilon: float, domain_size: int):
-        """Build a prepared *run* sampler for a fixed budget.
-
-        Returns a callable ``sample(true_counts, rng) -> (B, d)`` that is
-        **bit-identical** to
-        ``sample_aggregate_run(true_counts, epsilon, rng=rng)`` — same
-        generator draws in the same element order, same floating-point
-        expressions — with every run-invariant (parameter validation,
-        the ``(p, q)`` debias constants, probability planes, GRR's
-        liar-spread matrix) hoisted out of the per-chunk path.  The
-        collector memoizes one prepared sampler per budget
-        (:meth:`repro.engine.collector.Collector.run_sampler`), so the
-        oracle's affine setup runs once per session instead of once per
-        chunk.
-        """
         epsilon = self._check_epsilon(epsilon)
-        self._check_domain(domain_size)
-
-        def sample(true_counts: np.ndarray, rng) -> np.ndarray:
-            return self.sample_aggregate_run(true_counts, epsilon, rng=rng)
-
-        return sample
+        counts = self._check_batch_counts(true_counts, ndim=1)
+        domain_size = self._check_domain(counts.shape[0])
+        n = int(counts.sum())
+        if n <= 0:
+            raise InvalidParameterError("cannot aggregate zero reports")
+        draw = self.support_draw(epsilon, domain_size)
+        supports = draw(counts[None, :], np.array([[n]]), ensure_rng(rng))
+        return self.estimate_from_supports(
+            supports[0], n, domain_size, epsilon
+        )
 
     def sample_aggregate_run_stacked(
         self,
@@ -315,30 +346,27 @@ class FrequencyOracle(abc.ABC):
         ``(S, B, d)`` stack whose layer ``s`` is **bit-identical** to
         ``sample_aggregate_run(true_counts, epsilons[s], rng=rngs[s])``:
         each layer's draws come from its own generator only, so stacking
-        sessions shares *arrays* (the count block, trial stacks,
-        probability planes) but never randomness.  This is the kernel the
-        SoA scheduler (:mod:`repro.engine.soa`) drives a whole bucket of
-        fused sessions through.
-
-        The base implementation is the per-session loop; subclasses hoist
-        the budget-independent draw scaffolding (OUE/SUE/OLH/HR build the
-        ``(B, 2, d)`` trial stack once for every session, GRR builds its
-        liar-spread matrix once) and cache per-distinct-budget constants.
+        shares the count block and one prepared run sampler per distinct
+        budget, never randomness.  This is the kernel the SoA scheduler
+        (:mod:`repro.engine.soa`) drives a whole bucket of fused sessions
+        through.
         """
         counts = self._check_batch_counts(true_counts)
         rngs = list(rngs)
         epsilons = self._stack_epsilons(epsilons, len(rngs))
-        out = np.empty(
-            (len(rngs), counts.shape[0], counts.shape[1]), dtype=np.float64
-        )
-        for s, (eps, rng) in enumerate(zip(epsilons, rngs)):
-            out[s] = self.sample_aggregate_run(counts, eps, rng=rng)
+        samplers = {
+            eps: self.run_sampler(eps, counts.shape[1])
+            for eps in dict.fromkeys(epsilons)
+        }
+        out = np.empty((len(rngs),) + counts.shape, dtype=np.float64)
+        for layer, eps, rng in zip(out, epsilons, rngs):
+            layer[:] = samplers[eps](counts, rng)
         return out
 
     @staticmethod
     def _stack_epsilons(epsilons, n_sessions: int) -> list:
         """Normalise a scalar-or-sequence budget spec to one per session."""
-        if isinstance(epsilons, (int, float)):
+        if np.ndim(epsilons) == 0:
             return [float(epsilons)] * n_sessions
         epsilons = [float(eps) for eps in epsilons]
         if len(epsilons) != n_sessions:
@@ -347,41 +375,23 @@ class FrequencyOracle(abc.ABC):
             )
         return epsilons
 
-    def round_sampler(self, epsilon: float, domain_size: int):
-        """Build a prepared single-round sampler for a fixed budget.
-
-        Returns a callable ``sample(true_counts, rng) -> frequencies``
-        that is **bit-identical** to
-        ``sample_aggregate(true_counts, epsilon, rng=rng).frequencies``
-        — same generator draws in the same order, same floating-point
-        expressions — with every round-invariant (parameter validation,
-        probability constants, GRR's liar-spread matrix) hoisted out of
-        the per-round path.  The adaptive population kernels (LPD/LPA)
-        lean on this: their pool draws interleave with the oracle draws
-        on the shared generator, so rounds cannot batch, and the per-call
-        setup becomes the dominant cost worth hoisting.
-
-        ``domain_size`` is the fixed domain every round will use; counts
-        passed to the sampler must have exactly that length.
-        """
-        epsilon = self._check_epsilon(epsilon)
-        self._check_domain(domain_size)
-
-        def sample(true_counts: np.ndarray, rng) -> np.ndarray:
-            return self.sample_aggregate(true_counts, epsilon, rng=rng).frequencies
-
-        return sample
-
     @staticmethod
-    def _check_batch_counts(true_counts: np.ndarray) -> np.ndarray:
-        counts = np.asarray(true_counts, dtype=np.int64)
-        if counts.ndim != 2:
+    def _check_batch_counts(true_counts, ndim: int = 2) -> np.ndarray:
+        """Validate exact value histograms: a ``(B, d)`` matrix, or one
+        round's length-``d`` vector when ``ndim=1``; integral and
+        non-negative.  Returns them as int64."""
+        counts = np.asarray(true_counts)
+        if counts.ndim != ndim:
+            expected = "a (B, d) matrix" if ndim == 2 else "a 1-D vector"
             raise InvalidParameterError(
-                f"true_counts must be a (B, d) matrix, got shape {counts.shape}"
+                f"true_counts must be {expected}, got shape {counts.shape}"
             )
+        if counts.dtype.kind not in "biu":
+            if not np.all(np.isfinite(counts) & (counts == np.round(counts))):
+                raise InvalidParameterError("true_counts must be integral")
         if counts.size and counts.min() < 0:
             raise InvalidParameterError("true_counts must be non-negative")
-        return counts
+        return counts.astype(np.int64, copy=False)
 
     # ------------------------------------------------------------------
     # Closed-form error model
@@ -428,11 +438,9 @@ class FrequencyOracle(abc.ABC):
 
     @staticmethod
     def _debias(
-        perturbed_counts: np.ndarray, n: int, p: float, q: float
+        perturbed_counts: np.ndarray, n: int | np.ndarray, p: float, q: float
     ) -> np.ndarray:
         """Standard unbiased FO estimator ``(c'/n - q) / (p - q)``."""
-        if n <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
         return (perturbed_counts / n - q) / (p - q)
 
 

@@ -11,9 +11,8 @@ import math
 
 import numpy as np
 
-from ..exceptions import InvalidParameterError
 from ..rng import SeedLike, ensure_rng
-from .base import FOEstimate, FrequencyOracle, register_oracle
+from .base import FrequencyOracle, register_oracle
 from .variance import grr_mean_variance
 
 
@@ -56,194 +55,29 @@ class GRR(FrequencyOracle):
         reports = self._check_values(reports, domain_size)
         return np.bincount(reports, minlength=domain_size)
 
-    def aggregate(self, reports, domain_size, epsilon) -> FOEstimate:
-        supports = self.aggregate_supports(reports, domain_size, epsilon)
-        n = np.asarray(reports).shape[0]
-        return self.estimate_from_supports(supports, n, domain_size, epsilon)
-
-    def sample_aggregate(self, true_counts, epsilon, rng: SeedLike = None):
-        epsilon = self._check_epsilon(epsilon)
-        true_counts = np.asarray(true_counts, dtype=np.int64)
-        domain_size = self._check_domain(true_counts.shape[0])
-        rng = ensure_rng(rng)
-        n = int(true_counts.sum())
-        p, q = grr_probabilities(epsilon, domain_size)
-
+    def support_draw(self, epsilon, domain_size):
+        p, _ = self.support_probabilities(epsilon, domain_size)
         # Users with true value k keep it with prob p; the liars spread
-        # uniformly over the other d-1 values.  Summing the liar multinomials
-        # gives the exact distribution of the perturbed count vector.  One
-        # batched multinomial draws all d spreads at once: row k of pvals is
-        # uniform over the other values with a zero on the diagonal, so no
-        # liar mass ever lands back on its own value.
-        keepers = rng.binomial(true_counts, p)
-        liars = true_counts - keepers
-        perturbed = keepers.astype(np.float64)
-        uniform_over_others = np.full(
+        # uniformly over the other d-1 values.  Row k of the spread matrix
+        # is uniform with a zero on the diagonal, so one multinomial draws
+        # all d liar spreads and no liar mass lands back on its own value.
+        spread_rows = np.full(
             (domain_size, domain_size), 1.0 / (domain_size - 1)
         )
-        np.fill_diagonal(uniform_over_others, 0.0)
-        spread = rng.multinomial(liars, uniform_over_others)
-        perturbed += spread.sum(axis=0)
-        freqs = self._debias(perturbed, n, p, q)
-        return FOEstimate(
-            frequencies=freqs,
-            n_reports=n,
-            epsilon=epsilon,
-            variance=self.variance(epsilon, n, domain_size),
-            supports=perturbed,
-        )
+        np.fill_diagonal(spread_rows, 0.0)
 
-    def sample_aggregate_batch(self, true_counts, epsilon, rng: SeedLike = None):
-        epsilon = self._check_epsilon(epsilon)
-        counts = self._check_batch_counts(true_counts)
-        domain_size = self._check_domain(counts.shape[1])
-        rng = ensure_rng(rng)
-        n = counts.sum(axis=1, keepdims=True)
-        if counts.size and int(n.min()) <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
-        p, q = grr_probabilities(epsilon, domain_size)
-        # Batched form of the single-round fast path: keeper binomials
-        # over the whole (B, d) matrix, then one broadcast multinomial —
-        # liars (B, d) against the (d, d) spread rows gives (B, d, d);
-        # summing over the source axis yields each round's liar spread.
-        keepers = rng.binomial(counts, p)
-        liars = counts - keepers
-        uniform_over_others = np.full(
-            (domain_size, domain_size), 1.0 / (domain_size - 1)
-        )
-        np.fill_diagonal(uniform_over_others, 0.0)
-        spread = rng.multinomial(liars, uniform_over_others)
-        perturbed = keepers + spread.sum(axis=1)
-        return (perturbed / n - q) / (p - q)
-
-    def sample_aggregate_run(self, true_counts, epsilon, rng: SeedLike = None):
-        epsilon = self._check_epsilon(epsilon)
-        counts = self._check_batch_counts(true_counts)
-        if counts.shape[0] == 0:
-            return np.empty((0, counts.shape[1]), dtype=np.float64)
-        domain_size = self._check_domain(counts.shape[1])
-        rng = ensure_rng(rng)
-        n = counts.sum(axis=1)
-        if int(n.min()) <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
-        p, q = grr_probabilities(epsilon, domain_size)
-        uniform_over_others = np.full(
-            (domain_size, domain_size), 1.0 / (domain_size - 1)
-        )
-        np.fill_diagonal(uniform_over_others, 0.0)
-        # GRR's per-round sampler alternates a binomial with a multinomial,
-        # so consecutive rounds cannot merge into one generator call
-        # without reordering the bitstream.  Instead the loop stays — with
-        # every round-invariant (probabilities, the liar-spread matrix,
-        # parameter checks) hoisted out — and each iteration issues the
-        # exact two draws sample_aggregate would, keeping the run
-        # bit-identical to the per-round path.
-        perturbed = np.empty(counts.shape, dtype=np.float64)
-        for b, row in enumerate(counts):
-            keepers = rng.binomial(row, p)
-            liars = row - keepers
-            spread = rng.multinomial(liars, uniform_over_others)
-            perturbed[b] = keepers
-            perturbed[b] += spread.sum(axis=0)
-        return (perturbed / n[:, None] - q) / (p - q)
-
-    def run_sampler(self, epsilon, domain_size):
-        from ..engine.kernels_fast import debias_rows
-
-        epsilon = self._check_epsilon(epsilon)
-        domain_size = self._check_domain(domain_size)
-        p, q = grr_probabilities(epsilon, domain_size)
-        uniform_over_others = np.full(
-            (domain_size, domain_size), 1.0 / (domain_size - 1)
-        )
-        np.fill_diagonal(uniform_over_others, 0.0)
-
-        # Prepared sample_aggregate_run: the (d, d) liar-spread matrix and
-        # probability setup build once per budget; the per-round draw loop
-        # is unchanged, so the prepared run stays bit-identical.
-        def sample(true_counts, rng):
-            counts = self._check_batch_counts(true_counts)
-            if counts.shape[0] == 0:
-                return np.empty((0, counts.shape[1]), dtype=np.float64)
-            n = counts.sum(axis=1)
-            if int(n.min()) <= 0:
-                raise InvalidParameterError("cannot aggregate zero reports")
-            perturbed = np.empty(counts.shape, dtype=np.float64)
-            for b, row in enumerate(counts):
+        # Each round alternates a binomial with a multinomial, so rounds
+        # cannot merge into one generator call without reordering the
+        # bitstream: the loop stays, with the spread matrix hoisted.
+        def draw(counts, n, rng):
+            supports = np.empty(counts.shape, dtype=np.float64)
+            for row, out in zip(counts, supports):
                 keepers = rng.binomial(row, p)
-                liars = row - keepers
-                spread = rng.multinomial(liars, uniform_over_others)
-                perturbed[b] = keepers
-                perturbed[b] += spread.sum(axis=0)
-            return debias_rows(perturbed, n.astype(np.float64), p, q)
+                out[:] = keepers
+                out += rng.multinomial(row - keepers, spread_rows).sum(axis=0)
+            return supports
 
-        return sample
-
-    def sample_aggregate_run_stacked(self, true_counts, epsilons, rngs):
-        from ..engine.kernels_fast import debias_rows
-
-        counts = self._check_batch_counts(true_counts)
-        rngs = list(rngs)
-        epsilons = [
-            self._check_epsilon(eps)
-            for eps in self._stack_epsilons(epsilons, len(rngs))
-        ]
-        n_sessions = len(rngs)
-        rounds, d = counts.shape
-        if rounds == 0:
-            return np.empty((n_sessions, 0, d), dtype=np.float64)
-        domain_size = self._check_domain(d)
-        n = counts.sum(axis=1)
-        if int(n.min()) <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
-        # One liar-spread matrix serves every session; probabilities are
-        # cached per distinct budget.  Each layer replays the per-round
-        # binomial/multinomial interleave on its own generator only —
-        # draw for draw what sample_aggregate_run does solo.
-        uniform_over_others = np.full(
-            (domain_size, domain_size), 1.0 / (domain_size - 1)
-        )
-        np.fill_diagonal(uniform_over_others, 0.0)
-        n_rows = n.astype(np.float64)
-        pq_cache: dict = {}
-        out = np.empty((n_sessions, rounds, d), dtype=np.float64)
-        perturbed = np.empty((rounds, d), dtype=np.float64)
-        for s, (eps, rng) in enumerate(zip(epsilons, rngs)):
-            pq = pq_cache.get(eps)
-            if pq is None:
-                pq = pq_cache[eps] = grr_probabilities(eps, domain_size)
-            p, q = pq
-            for b, row in enumerate(counts):
-                keepers = rng.binomial(row, p)
-                liars = row - keepers
-                spread = rng.multinomial(liars, uniform_over_others)
-                perturbed[b] = keepers
-                perturbed[b] += spread.sum(axis=0)
-            out[s] = debias_rows(perturbed, n_rows, p, q)
-        return out
-
-    def round_sampler(self, epsilon, domain_size):
-        epsilon = self._check_epsilon(epsilon)
-        domain_size = self._check_domain(domain_size)
-        p, q = grr_probabilities(epsilon, domain_size)
-        uniform_over_others = np.full(
-            (domain_size, domain_size), 1.0 / (domain_size - 1)
-        )
-        np.fill_diagonal(uniform_over_others, 0.0)
-
-        # Building the (d, d) liar-spread matrix dominates GRR's per-call
-        # cost; hoisting it (plus the probability setup) leaves exactly
-        # the two draws sample_aggregate issues — bit-identical per round.
-        def sample(true_counts, rng):
-            n = int(true_counts.sum())
-            keepers = rng.binomial(true_counts, p)
-            liars = true_counts - keepers
-            perturbed = keepers.astype(np.float64)
-            spread = rng.multinomial(liars, uniform_over_others)
-            perturbed += spread.sum(axis=0)
-            return (perturbed / n - q) / (p - q)
-
-        return sample
+        return draw
 
     def variance(self, epsilon: float, n: int, domain_size: int) -> float:
         return grr_mean_variance(epsilon, n, domain_size)

@@ -17,9 +17,8 @@ import math
 
 import numpy as np
 
-from ..exceptions import InvalidParameterError
 from ..rng import SeedLike, ensure_rng
-from .base import FOEstimate, FrequencyOracle, register_oracle
+from .base import FrequencyOracle, register_oracle
 from .variance import olh_mean_variance
 
 #: Mersenne prime for the pairwise-independent hash family.
@@ -66,6 +65,8 @@ class OLH(FrequencyOracle):
         )
 
     def support_probabilities(self, epsilon, domain_size):
+        # A report supports its owner's value with GRR's keep rate over the
+        # g buckets, and (over the hash randomness) any other value w.p. 1/g.
         epsilon = self._check_epsilon(epsilon)
         self._check_domain(domain_size)
         g = olh_hash_range(epsilon)
@@ -86,162 +87,6 @@ class OLH(FrequencyOracle):
         for k in range(domain_size):
             supports[k] = np.count_nonzero(_hash(a, b, np.uint64(k), g) == y)
         return supports
-
-    def aggregate(self, reports, domain_size, epsilon) -> FOEstimate:
-        supports = self.aggregate_supports(reports, domain_size, epsilon)
-        n = np.asarray(reports).shape[0]
-        return self.estimate_from_supports(supports, n, domain_size, epsilon)
-
-    def sample_aggregate(self, true_counts, epsilon, rng: SeedLike = None):
-        epsilon = self._check_epsilon(epsilon)
-        true_counts = np.asarray(true_counts, dtype=np.int64)
-        domain_size = self._check_domain(true_counts.shape[0])
-        rng = ensure_rng(rng)
-        n = int(true_counts.sum())
-        g = olh_hash_range(epsilon)
-        e = math.exp(epsilon)
-        p = e / (e + g - 1)
-        q = 1.0 / g
-        # A report supports its owner's value with probability p, and (over
-        # the hash randomness) any other value with probability 1/g.
-        supports_own = rng.binomial(true_counts, p)
-        supports_other = rng.binomial(n - true_counts, q)
-        supports = (supports_own + supports_other).astype(np.float64)
-        freqs = self._debias(supports, n, p, q)
-        return FOEstimate(
-            frequencies=freqs,
-            n_reports=n,
-            epsilon=epsilon,
-            variance=self.variance(epsilon, n, domain_size),
-            supports=supports,
-        )
-
-    def sample_aggregate_batch(self, true_counts, epsilon, rng: SeedLike = None):
-        epsilon = self._check_epsilon(epsilon)
-        counts = self._check_batch_counts(true_counts)
-        self._check_domain(counts.shape[1])
-        rng = ensure_rng(rng)
-        n = counts.sum(axis=1, keepdims=True)
-        if counts.size and int(n.min()) <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
-        g = olh_hash_range(epsilon)
-        e = math.exp(epsilon)
-        p = e / (e + g - 1)
-        q = 1.0 / g
-        # One element-wise binomial over a (B, 2, d) stack replays the
-        # single-round sampler's draw order exactly — row b's own-support
-        # draws (prob p) come right before its other-support draws
-        # (prob q), in C order — so this is *bit-identical* to calling
-        # sample_aggregate per row on the same generator, not merely
-        # distributionally equal.
-        trials = np.stack([counts, n - counts], axis=1)
-        probs = np.broadcast_to(
-            np.array([p, q]).reshape(1, 2, 1), trials.shape
-        )
-        draws = rng.binomial(trials, probs)
-        supports = (draws[:, 0, :] + draws[:, 1, :]).astype(np.float64)
-        return (supports / n - q) / (p - q)
-
-    def sample_aggregate_run(self, true_counts, epsilon, rng: SeedLike = None):
-        # The batch sampler already replays the per-round draw order
-        # exactly (see its docstring), so it doubles as the run kernel.
-        return self.sample_aggregate_batch(true_counts, epsilon, rng=rng)
-
-    def run_sampler(self, epsilon, domain_size):
-        from ..engine.kernels_fast import debias_rows
-
-        epsilon = self._check_epsilon(epsilon)
-        self._check_domain(domain_size)
-        g = olh_hash_range(epsilon)
-        e = math.exp(epsilon)
-        p = e / (e + g - 1)
-        q = 1.0 / g
-        pq_plane = np.array([p, q]).reshape(1, 2, 1)
-
-        # Prepared sample_aggregate_run (= the batch sampler) with the
-        # hash-range/probability setup hoisted per budget; same (B, 2, d)
-        # element-ordered draw, bit-identical output.
-        def sample(true_counts, rng):
-            counts = self._check_batch_counts(true_counts)
-            if counts.shape[0] == 0:
-                return np.empty((0, counts.shape[1]), dtype=np.float64)
-            n = counts.sum(axis=1, keepdims=True)
-            if int(n.min()) <= 0:
-                raise InvalidParameterError("cannot aggregate zero reports")
-            trials = np.stack([counts, n - counts], axis=1)
-            probs = np.broadcast_to(pq_plane, trials.shape)
-            draws = rng.binomial(trials, probs)
-            supports = (draws[:, 0, :] + draws[:, 1, :]).astype(np.float64)
-            return debias_rows(supports, n[:, 0].astype(np.float64), p, q)
-
-        return sample
-
-    def sample_aggregate_run_stacked(self, true_counts, epsilons, rngs):
-        from ..engine.kernels_fast import debias_rows
-
-        counts = self._check_batch_counts(true_counts)
-        rngs = list(rngs)
-        epsilons = [
-            self._check_epsilon(eps)
-            for eps in self._stack_epsilons(epsilons, len(rngs))
-        ]
-        n_sessions = len(rngs)
-        rounds, d = counts.shape
-        if rounds == 0:
-            return np.empty((n_sessions, 0, d), dtype=np.float64)
-        self._check_domain(d)
-        n = counts.sum(axis=1, keepdims=True)
-        if int(n.min()) <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
-        # Shared budget-independent (B, 2, d) trial stack; the hash range
-        # (and so the probability plane) is cached per distinct budget.
-        # Each layer consumes only its own generator (see OUE).
-        trials = np.stack([counts, n - counts], axis=1)
-        n_rows = n[:, 0].astype(np.float64)
-        setup_cache: dict = {}
-        out = np.empty((n_sessions, rounds, d), dtype=np.float64)
-        for s, (eps, rng) in enumerate(zip(epsilons, rngs)):
-            setup = setup_cache.get(eps)
-            if setup is None:
-                g = olh_hash_range(eps)
-                e = math.exp(eps)
-                p = e / (e + g - 1)
-                q = 1.0 / g
-                probs = np.broadcast_to(
-                    np.array([p, q]).reshape(1, 2, 1), trials.shape
-                )
-                setup = setup_cache[eps] = (p, q, probs)
-            p, q, probs = setup
-            draws = rng.binomial(trials, probs)
-            supports = (draws[:, 0, :] + draws[:, 1, :]).astype(np.float64)
-            out[s] = debias_rows(supports, n_rows, p, q)
-        return out
-
-    def round_sampler(self, epsilon, domain_size):
-        epsilon = self._check_epsilon(epsilon)
-        self._check_domain(domain_size)
-        g = olh_hash_range(epsilon)
-        e = math.exp(epsilon)
-        p = e / (e + g - 1)
-        q = 1.0 / g
-        probs = np.empty((2, domain_size))
-        probs[0] = p
-        probs[1] = q
-        trials = np.empty((2, domain_size), dtype=np.int64)
-
-        # One stacked (2, d) binomial replaying sample_aggregate's two
-        # sequential binomials bit-for-bit (C-order element fill, the
-        # run-kernel property) with hash-range/probability setup hoisted
-        # and a single call's fixed overhead.
-        def sample(true_counts, rng):
-            n = int(true_counts.sum())
-            trials[0] = true_counts
-            np.subtract(n, true_counts, out=trials[1])
-            draws = rng.binomial(trials, probs)
-            supports = (draws[0] + draws[1]).astype(np.float64)
-            return (supports / n - q) / (p - q)
-
-        return sample
 
     def variance(self, epsilon: float, n: int, domain_size: int) -> float:
         return olh_mean_variance(epsilon, n, domain_size)

@@ -12,9 +12,8 @@ import math
 
 import numpy as np
 
-from ..exceptions import InvalidParameterError
 from ..rng import SeedLike, ensure_rng
-from .base import FOEstimate, FrequencyOracle, register_oracle
+from .base import FrequencyOracle, register_oracle
 from .variance import sue_mean_variance
 
 
@@ -53,147 +52,6 @@ class SUE(FrequencyOracle):
         if reports.ndim != 2 or reports.shape[1] != domain_size:
             raise ValueError("SUE reports must be an (n, d) bit matrix")
         return reports.sum(axis=0, dtype=np.int64)
-
-    def aggregate(self, reports, domain_size, epsilon) -> FOEstimate:
-        supports = self.aggregate_supports(reports, domain_size, epsilon)
-        n = np.asarray(reports).shape[0]
-        return self.estimate_from_supports(supports, n, domain_size, epsilon)
-
-    def sample_aggregate(self, true_counts, epsilon, rng: SeedLike = None):
-        epsilon = self._check_epsilon(epsilon)
-        true_counts = np.asarray(true_counts, dtype=np.int64)
-        domain_size = self._check_domain(true_counts.shape[0])
-        rng = ensure_rng(rng)
-        n = int(true_counts.sum())
-        p, q = sue_probabilities(epsilon)
-        ones_from_owners = rng.binomial(true_counts, p)
-        ones_from_others = rng.binomial(n - true_counts, q)
-        counts = (ones_from_owners + ones_from_others).astype(np.float64)
-        freqs = self._debias(counts, n, p, q)
-        return FOEstimate(
-            frequencies=freqs,
-            n_reports=n,
-            epsilon=epsilon,
-            variance=self.variance(epsilon, n, domain_size),
-            supports=counts,
-        )
-
-    def sample_aggregate_batch(self, true_counts, epsilon, rng: SeedLike = None):
-        epsilon = self._check_epsilon(epsilon)
-        counts = self._check_batch_counts(true_counts)
-        self._check_domain(counts.shape[1])
-        rng = ensure_rng(rng)
-        n = counts.sum(axis=1, keepdims=True)
-        if counts.size and int(n.min()) <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
-        p, q = sue_probabilities(epsilon)
-        ones = rng.binomial(counts, p) + rng.binomial(n - counts, q)
-        return (ones / n - q) / (p - q)
-
-    def sample_aggregate_run(self, true_counts, epsilon, rng: SeedLike = None):
-        epsilon = self._check_epsilon(epsilon)
-        counts = self._check_batch_counts(true_counts)
-        if counts.shape[0] == 0:
-            return np.empty((0, counts.shape[1]), dtype=np.float64)
-        self._check_domain(counts.shape[1])
-        rng = ensure_rng(rng)
-        n = counts.sum(axis=1, keepdims=True)
-        if int(n.min()) <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
-        p, q = sue_probabilities(epsilon)
-        # Same interleaved (B, 2, d) element-ordered draw as OUE: keeps
-        # the run bit-identical to per-round sample_aggregate calls.
-        trials = np.stack([counts, n - counts], axis=1)
-        probs = np.broadcast_to(
-            np.array([p, q]).reshape(1, 2, 1), trials.shape
-        )
-        draws = rng.binomial(trials, probs)
-        ones = (draws[:, 0, :] + draws[:, 1, :]).astype(np.float64)
-        return (ones / n - q) / (p - q)
-
-    def run_sampler(self, epsilon, domain_size):
-        from ..engine.kernels_fast import debias_rows
-
-        epsilon = self._check_epsilon(epsilon)
-        self._check_domain(domain_size)
-        p, q = sue_probabilities(epsilon)
-        pq_plane = np.array([p, q]).reshape(1, 2, 1)
-
-        # Prepared sample_aggregate_run with the per-budget setup hoisted;
-        # same draws, same expressions, bit-identical output (see OUE).
-        def sample(true_counts, rng):
-            counts = self._check_batch_counts(true_counts)
-            if counts.shape[0] == 0:
-                return np.empty((0, counts.shape[1]), dtype=np.float64)
-            n = counts.sum(axis=1, keepdims=True)
-            if int(n.min()) <= 0:
-                raise InvalidParameterError("cannot aggregate zero reports")
-            trials = np.stack([counts, n - counts], axis=1)
-            probs = np.broadcast_to(pq_plane, trials.shape)
-            draws = rng.binomial(trials, probs)
-            ones = (draws[:, 0, :] + draws[:, 1, :]).astype(np.float64)
-            return debias_rows(ones, n[:, 0].astype(np.float64), p, q)
-
-        return sample
-
-    def sample_aggregate_run_stacked(self, true_counts, epsilons, rngs):
-        from ..engine.kernels_fast import debias_rows
-
-        counts = self._check_batch_counts(true_counts)
-        rngs = list(rngs)
-        epsilons = [
-            self._check_epsilon(eps)
-            for eps in self._stack_epsilons(epsilons, len(rngs))
-        ]
-        n_sessions = len(rngs)
-        rounds, d = counts.shape
-        if rounds == 0:
-            return np.empty((n_sessions, 0, d), dtype=np.float64)
-        self._check_domain(d)
-        n = counts.sum(axis=1, keepdims=True)
-        if int(n.min()) <= 0:
-            raise InvalidParameterError("cannot aggregate zero reports")
-        # Shared budget-independent (B, 2, d) trial stack, per-budget
-        # probability planes, strictly private generators (see OUE).
-        trials = np.stack([counts, n - counts], axis=1)
-        n_rows = n[:, 0].astype(np.float64)
-        probs_cache: dict = {}
-        out = np.empty((n_sessions, rounds, d), dtype=np.float64)
-        for s, (eps, rng) in enumerate(zip(epsilons, rngs)):
-            p, q = sue_probabilities(eps)
-            probs = probs_cache.get(eps)
-            if probs is None:
-                probs = np.broadcast_to(
-                    np.array([p, q]).reshape(1, 2, 1), trials.shape
-                )
-                probs_cache[eps] = probs
-            draws = rng.binomial(trials, probs)
-            ones = (draws[:, 0, :] + draws[:, 1, :]).astype(np.float64)
-            out[s] = debias_rows(ones, n_rows, p, q)
-        return out
-
-    def round_sampler(self, epsilon, domain_size):
-        epsilon = self._check_epsilon(epsilon)
-        self._check_domain(domain_size)
-        p, q = sue_probabilities(epsilon)
-        probs = np.empty((2, domain_size))
-        probs[0] = p
-        probs[1] = q
-        trials = np.empty((2, domain_size), dtype=np.int64)
-
-        # One stacked (2, d) binomial replaying sample_aggregate's two
-        # sequential binomials bit-for-bit (same C-order element fill the
-        # run kernel relies on) at half the fixed call overhead — same
-        # shape as OUE.round_sampler, SUE probabilities.
-        def sample(true_counts, rng):
-            n = int(true_counts.sum())
-            trials[0] = true_counts
-            np.subtract(n, true_counts, out=trials[1])
-            draws = rng.binomial(trials, probs)
-            counts = (draws[0] + draws[1]).astype(np.float64)
-            return (counts / n - q) / (p - q)
-
-        return sample
 
     def variance(self, epsilon: float, n: int, domain_size: int) -> float:
         return sue_mean_variance(epsilon, n, domain_size)
