@@ -771,7 +771,7 @@ def _cmd_serve(args) -> int:
         ReleaseStore,
         StandingRegistry,
     )
-    from .streams import OnlineStream
+    from .streams import OnlineStream, decode_snapshot
 
     from .freq_oracles import get_oracle
     from .freq_oracles.postprocess import get_postprocessor
@@ -975,7 +975,7 @@ def _cmd_serve(args) -> int:
                             "each request must be a JSON object"
                         )
                     if request.get("op") == "ingest":
-                        values = [int(v) for v in request["values"]]
+                        values = decode_snapshot(request)
                         if skip_remaining > 0:
                             # Ingested before the crash; the replayed
                             # feed re-sends it and exactly-once means we

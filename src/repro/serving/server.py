@@ -39,7 +39,6 @@ The wire protocol and the exactness contract are specified in
 from __future__ import annotations
 
 import asyncio
-import base64
 import json
 import multiprocessing
 import os
@@ -63,14 +62,13 @@ from ..query.engine import QueryEngine
 from ..query.planner import QueryPlanner
 from ..query.standing import StandingRegistry
 from ..query.store import ReleaseStore, merge_release_rows
+from ..streams.online import decode_snapshot
 from .router import ShardRouter, shard_seed
 from .worker import shard_worker_main
 
 FRONT_FILE = "front.json"
 _FRONT_FORMAT = "repro-front"
 FRONT_VERSION = 1
-
-_B64_DTYPES = {"u1": np.uint8, "u2": np.uint16, "u4": np.uint32}
 
 #: Front-checkpoint config keys a resume must match exactly.  A
 #: ``num_shards`` mismatch is the reshard-refusal path: the hash
@@ -453,21 +451,7 @@ class ShardServer:
     # ------------------------------------------------------------------
     def _parse_ingest(self, request: dict) -> np.ndarray:
         """One ingest request -> validated ``(n_users,)`` int64 snapshot."""
-        if "b64" in request:
-            dtype_tag = request.get("dtype", "u1")
-            if dtype_tag not in _B64_DTYPES:
-                raise InvalidParameterError(
-                    f"ingest dtype must be one of {sorted(_B64_DTYPES)}, "
-                    f"got {dtype_tag!r}"
-                )
-            raw = base64.b64decode(request["b64"], validate=True)
-            values = np.frombuffer(
-                raw, dtype=_B64_DTYPES[dtype_tag]
-            ).astype(np.int64)
-        else:
-            values = np.asarray(
-                [int(v) for v in request["values"]], dtype=np.int64
-            )
+        values = decode_snapshot(request)
         if values.shape != (self.config.n_users,):
             raise InvalidParameterError(
                 f"ingest snapshot must carry {self.config.n_users} values, "

@@ -27,7 +27,7 @@ from .traces import (
     save_value_matrix,
     stream_from_events,
 )
-from .online import OnlineStream
+from .online import OnlineStream, decode_snapshot
 from .windows import SlidingWindowSum
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "MaterializedStream",
     "GenerativeStream",
     "OnlineStream",
+    "decode_snapshot",
     "MarkovValueProcess",
     "sample_categorical",
     "BinaryStream",

@@ -10,10 +10,15 @@ The retained window exists because the two-round adaptive mechanisms read
 the current timestamp's values more than once (M1 and M2), and a
 shared-pass driver may fan one snapshot out to many sessions; nothing in
 the engine ever looks further back than the current timestamp.
+
+:func:`decode_snapshot` is the wire side of :meth:`OnlineStream.push`:
+both serve tiers (the solo stdin loop and the sharded socket front)
+turn an ingest request into the snapshot it carries through it.
 """
 
 from __future__ import annotations
 
+import base64
 from collections import deque
 from typing import Deque, Tuple
 
@@ -21,6 +26,46 @@ import numpy as np
 
 from ..exceptions import InvalidParameterError, StreamAccessError
 from .base import StreamDataset
+
+#: ``dtype`` tags of the packed ``b64`` ingest form.
+_B64_DTYPES = {"u1": np.uint8, "u2": np.uint16, "u4": np.uint32}
+
+
+def decode_snapshot(request: dict) -> np.ndarray:
+    """One ingest request -> the 1-D int64 snapshot it carries.
+
+    Reads either wire form: ``"values"``, a JSON array of integers, or
+    ``"b64"`` + ``"dtype"`` (``u1``/``u2``/``u4``), a base64-packed
+    array.  An integer array converts in one numpy pass; any other
+    array falls back to ``int()`` per element, so floats truncate and
+    non-finite or non-numeric elements raise exactly what ``int()``
+    raises.  Shape and range checks are the caller's.
+    """
+    if "b64" in request:
+        tag = request.get("dtype", "u1")
+        if tag not in _B64_DTYPES:
+            raise InvalidParameterError(
+                f"ingest dtype must be one of {sorted(_B64_DTYPES)}, "
+                f"got {tag!r}"
+            )
+        raw = base64.b64decode(request["b64"], validate=True)
+        return np.frombuffer(raw, dtype=_B64_DTYPES[tag]).astype(np.int64)
+    raw = request["values"]
+    if not isinstance(raw, list):
+        raise InvalidParameterError(
+            f"ingest values must be a JSON array, got "
+            f"{type(raw).__name__}"
+        )
+    # numpy infers int64 exactly when every element is an integer in
+    # int64 range (bools mixed with ints too, which int() maps alike);
+    # ragged nesting raises, every other input infers another dtype.
+    try:
+        values = np.array(raw)
+    except (ValueError, TypeError, OverflowError):
+        values = None
+    if values is not None and values.dtype == np.int64 and values.ndim == 1:
+        return values
+    return np.asarray([int(v) for v in raw], dtype=np.int64)
 
 
 class OnlineStream(StreamDataset):

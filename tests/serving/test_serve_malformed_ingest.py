@@ -6,8 +6,13 @@ the legacy ``repro serve`` loop did not catch, so one malformed record
 could take down a server holding buffered (``--chunk > 1``) timestamps.
 The server must instead emit a structured JSON error line and keep
 serving the rest of the feed.
+
+The loop decodes ingests with the sharded front's decoder, so it also
+takes the packed ``b64`` form and rejects a ``values`` that is not an
+array.
 """
 
+import base64
 import json
 import os
 import subprocess
@@ -101,3 +106,83 @@ def test_chunk_one_still_reports_instead_of_dying():
     out = [json.loads(line) for line in proc.stdout.splitlines()]
     assert sum("error" in obj for obj in out) == 1
     assert [obj["t"] for obj in out if obj.get("op") == "ingest"] == [0, 1]
+
+
+def _run(feed, chunk=3):
+    proc = subprocess.run(
+        _serve_cmd(chunk=chunk),
+        input="\n".join(feed) + "\n",
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _as_b64(line):
+    """The same ingest request in the packed ``b64``/``u1`` form."""
+    values = np.asarray(json.loads(line)["values"], dtype=np.uint8)
+    return json.dumps(
+        {
+            "op": "ingest",
+            "b64": base64.b64encode(values.tobytes()).decode("ascii"),
+            "dtype": "u1",
+        }
+    )
+
+
+def test_b64_ingest_equals_list_ingest():
+    """The solo loop takes the packed wire form too: the same snapshots
+    sent as b64 give the same stdout, byte for byte."""
+    feed = _ingest_lines(6, seed=13)
+    tail = [
+        json.dumps({"op": "point", "item": 1}),
+        json.dumps({"op": "range", "lo": 0, "hi": 2}),
+    ]
+    mixed = [
+        _as_b64(line) if i % 2 else line for i, line in enumerate(feed)
+    ]
+    packed = [_as_b64(line) for line in feed]
+    want = _run(feed + tail)
+    assert _run(mixed + tail) == want
+    assert _run(packed + tail) == want
+
+
+def test_malformed_b64_emits_error_lines():
+    feed = _ingest_lines(4, seed=17)
+    feed.insert(1, json.dumps({"op": "ingest", "b64": "!!", "dtype": "u1"}))
+    feed.insert(
+        3, json.dumps({"op": "ingest", "b64": "AA==", "dtype": "f8"})
+    )
+    out = [json.loads(line) for line in _run(feed).splitlines()]
+    errors = [obj for obj in out if "error" in obj]
+    assert len(errors) == 2
+    assert any("dtype" in obj["error"] for obj in errors)
+    assert [obj["t"] for obj in out if obj.get("op") == "ingest"] == [
+        0, 1, 2, 3,
+    ]
+
+
+def test_values_that_are_not_an_array_are_rejected():
+    """A digit string or an object of the right length used to ingest
+    its characters or keys as a snapshot."""
+    feed = _ingest_lines(3, seed=19)
+    feed.insert(1, json.dumps({"op": "ingest", "values": "0" * N_USERS}))
+    feed.insert(
+        2,
+        json.dumps(
+            {
+                "op": "ingest",
+                "values": {"0" * (k + 1): 0 for k in range(N_USERS)},
+            }
+        ),
+    )
+    out = [json.loads(line) for line in _run(feed).splitlines()]
+    errors = [obj["error"] for obj in out if "error" in obj]
+    assert len(errors) == 2
+    assert all("JSON array" in error for error in errors)
+    assert [obj["t"] for obj in out if obj.get("op") == "ingest"] == [
+        0, 1, 2,
+    ]

@@ -165,9 +165,9 @@ class TestSingleClientConformance:
 class TestErrorHandling:
     def test_bad_requests_answer_errors_without_dying(self):
         """Malformed lines — broken JSON, wrong population size,
-        out-of-domain values, JSON Infinity, unknown ops, checkpoint
-        without a state dir — each earns a structured error line and the
-        server keeps serving."""
+        out-of-domain values, JSON Infinity, a non-array ``values``,
+        unknown ops, checkpoint without a state dir — each earns a
+        structured error line and the server keeps serving."""
         block = feed_block(3, N_USERS, DEFAULTS["domain"], seed=57)
         with ShardServerProc(
             sharded_cmd(shards=2, n_users=N_USERS, chunk=1)
@@ -188,6 +188,17 @@ class TestErrorHandling:
                     json.dumps({"op": "ingest", "b64": "!!", "dtype": "u1"}),
                     json.dumps(
                         {"op": "ingest", "b64": "AA==", "dtype": "f8"}
+                    ),
+                    # Not arrays: a digit string or an object of the
+                    # right length must not ingest its characters/keys.
+                    json.dumps({"op": "ingest", "values": "0" * N_USERS}),
+                    json.dumps(
+                        {
+                            "op": "ingest",
+                            "values": {
+                                "0" * (k + 1): 0 for k in range(N_USERS)
+                            },
+                        }
                     ),
                 ]
                 for line in bad_lines:
